@@ -31,7 +31,22 @@ allocates millions of short-lived events/records whose lifetimes are
 almost entirely refcount-managed, so the cyclic collector's generational
 scans are pure overhead mid-run.  Both the serial loop and each worker
 disable automatic collection and instead collect explicitly every
-``_GC_EVERY`` items, bounding cycle buildup on very long sweeps.
+``_GC_EVERY`` items and once at the end of the sweep, bounding cycle
+buildup on very long sweeps.
+
+Every explicit collection is young-generation only
+(``gc.collect(_SWEEP_GENERATION)``), never a full-heap one.  While
+automatic collection is disabled only these collections promote, so
+everything allocated since the previous one, items' cyclic garbage
+included (channels, processors, closures), is still young when the
+next one runs.  It is reclaimed without re-scanning the caller's
+long-lived heap, so the cost of a sweep's collections follows the
+sweep's own allocations, not the size of its caller's heap.  (Objects
+that survived a collection, such as results and cache entries, are
+promoted; should they later become cyclic garbage, the automatic
+collector reclaims them once it is back on.)  One side effect: CPython
+clears its internal freelists only on a full collection, so peak RSS
+sits slightly higher (~0.8 MB on the fuzz benchmark).
 """
 
 from __future__ import annotations
@@ -51,9 +66,14 @@ logger = logging.getLogger(__name__)
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Items processed between explicit ``gc.collect()`` calls while the
-#: automatic collector is paused.
+#: Items processed between explicit young-generation collections while
+#: the automatic collector is paused.
 _GC_EVERY = 64
+
+#: The oldest generation an explicit sweep collection scans: young only,
+#: so the caller's long-lived generation 2 is never re-scanned (see the
+#: module docstring).
+_SWEEP_GENERATION = 1
 
 #: Isolated attempts granted to each item of a dead (or watchdog-killed)
 #: worker's stripe before the item is declared poisoned
@@ -87,7 +107,8 @@ def stripe_indices(n_items: int, jobs: int) -> list[list[int]]:
 
 
 class _gc_paused:
-    """Context manager: pause automatic GC, restore and sweep on exit."""
+    """Context manager: pause automatic GC; on exit restore it and
+    collect what the sweep allocated."""
 
     def __enter__(self) -> None:
         self._was_enabled = gc.isenabled()
@@ -96,7 +117,7 @@ class _gc_paused:
     def __exit__(self, *exc: Any) -> None:
         if self._was_enabled:
             gc.enable()
-            gc.collect()
+            gc.collect(_SWEEP_GENERATION)
 
 
 def _run_serial(
@@ -114,7 +135,7 @@ def _run_serial(
             if on_result is not None:
                 on_result(index, out[-1])
             if (index + 1) % _GC_EVERY == 0:
-                gc.collect()
+                gc.collect(_SWEEP_GENERATION)
     return out
 
 
@@ -135,7 +156,7 @@ def _stripe_main(conn, fn: Callable[[T], R], items: list[T]) -> None:
                 result = fn(item)
                 conn.send(("item", index, result))
                 if (index + 1) % _GC_EVERY == 0:
-                    gc.collect()
+                    gc.collect(_SWEEP_GENERATION)
         conn.send(("done", None))
     except BrokenPipeError:
         return

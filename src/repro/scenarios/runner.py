@@ -100,12 +100,16 @@ class ScenarioResult:
     dedicated_makespan: float = 0.0
     #: fidelity the scenario ran under ("full" or "fast_forward")
     fidelity: str = "full"
-    #: heap events actually dispatched (main runtime + 1F1B cross-check;
-    #: the equivalence twin's events are verification overhead, not the
-    #: scenario's cost, and are excluded)
+    #: heap events dispatched by the main runtime and the 1F1B
+    #: cross-check; twin runs are counted in ``events_twin`` instead
     events_simulated: int = 0
     #: events coalesced analytically by steady-state skips
     events_fast_forwarded: int = 0
+    #: heap events dispatched by twin runtimes: the shared-mode
+    #: dedicated twin, the fault-horizon baseline twin and the
+    #: fast-forward equivalence twin (verification overhead, not the
+    #: scenario's own cost)
+    events_twin: int = 0
     #: whether the full-fidelity twin ran and the semantic fingerprints
     #: were compared (fast_forward runs only)
     equivalence_checked: bool = False
@@ -274,9 +278,11 @@ def _makespan_only(
     budget: int,
     keep_network: bool = False,
     fabric_spec: FabricSpec = DEFAULT_FABRIC_SPEC,
-) -> float:
+) -> tuple[float, int]:
     """Time for a fault-free twin of ``run`` to reach the target global
     version (no oracles, no trace — just the clock).
+
+    Returns ``(makespan, events dispatched by the twin)``.
 
     By default the twin runs on the dedicated network (the contention
     oracle's reference); with ``keep_network`` it keeps the run's own
@@ -301,7 +307,7 @@ def _makespan_only(
     runtime.run_until_global_version(
         spec.warmup_waves + spec.measured_waves - 1, max_events=budget
     )
-    return runtime.sim.now
+    return runtime.sim.now, runtime.sim.events_processed
 
 
 def _build_runtime(
@@ -558,6 +564,7 @@ def run_scenario(
     makespan = 0.0
     dedicated_makespan = 0.0
     equivalence_checked = False
+    twin_events = 0
     runtime = _build_runtime(scenario, run, fidelity, trace, oracles, fabric_spec)
     try:
         if faulted:
@@ -566,7 +573,7 @@ def run_scenario(
             # by, and the degradation oracle's yardstick.
             from repro.faults import FaultInjector, FaultTargets, compile_schedule
 
-            horizon = _makespan_only(
+            horizon, twin_events = _makespan_only(
                 scenario, run, budget, keep_network=True, fabric_spec=fabric_spec
             )
             targets = FaultTargets(
@@ -602,7 +609,7 @@ def run_scenario(
             variant_def.wave_flush or variant_def.version_window is not None
         )
         if shared and not faulted and not timing_dependent_gate:
-            dedicated_makespan = _makespan_only(scenario, run, budget)
+            dedicated_makespan, twin_events = _makespan_only(scenario, run, budget)
             if makespan < dedicated_makespan * (1.0 - 1e-9):
                 violations.append(
                     f"contention: shared makespan {makespan:.6f}s beat the "
@@ -626,6 +633,7 @@ def run_scenario(
                 [StalenessOracle()], fabric_spec,
             )
             twin_window, _, _ = _drive_main(twin, spec, budget)
+            twin_events += twin.sim.events_processed
             violations.extend(
                 compare_fingerprints(
                     semantic_fingerprint(twin), semantic_fingerprint(runtime)
@@ -693,6 +701,7 @@ def run_scenario(
         fidelity=fidelity,
         events_simulated=main_events + pipe_events,
         events_fast_forwarded=main_ff + pipe_ff,
+        events_twin=twin_events,
         equivalence_checked=equivalence_checked,
         spec_hash=run.spec_hash,
         diagnostics=diagnostics,
@@ -723,6 +732,10 @@ class FuzzReport:
     @property
     def events_fast_forwarded(self) -> int:
         return sum(r.events_fast_forwarded for r in self.results)
+
+    @property
+    def events_twin(self) -> int:
+        return sum(r.events_twin for r in self.results)
 
     @property
     def equivalence_checks(self) -> int:

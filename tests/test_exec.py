@@ -1,13 +1,16 @@
 """Sweep executor: deterministic striping, parallel == serial output."""
 
+import gc
 import multiprocessing
 import os
 import time
+import weakref
 
 import pytest
 
 from repro.errors import ConfigurationError, ItemTimeoutError, WorkerCrashError
 from repro.exec import resolve_jobs, stripe_indices, sweep_map
+from repro.exec.pool import _GC_EVERY, _stripe_main
 from repro.scenarios import run_fuzz
 
 
@@ -36,6 +39,34 @@ def _hang_until_marked(arg):
             fh.write("seen")
         time.sleep(120)
     return x * 10
+
+
+class _Cycle:
+    """A self-referencing node: only the cyclic collector can free it."""
+
+    def __init__(self):
+        self.me = self
+
+
+#: Weak references to every ``_Cycle`` that ``_make_cycle`` built.
+_CYCLES: list = []
+
+
+def _make_cycle(x):
+    """Leave one unreachable cycle behind; report whether automatic GC
+    was running while the item ran."""
+    _CYCLES.append(weakref.ref(_Cycle()))
+    return gc.isenabled()
+
+
+class _Inbox:
+    """Stands in for a worker's pipe end: keeps what the stripe sends."""
+
+    def __init__(self):
+        self.messages = []
+
+    def send(self, message):
+        self.messages.append(message)
 
 
 def _boom(x):
@@ -118,6 +149,78 @@ class TestSweepMap:
             sweep_map(_boom, range(6), jobs=2)
         with pytest.raises(ValueError):
             sweep_map(_boom, range(6), jobs=1)
+
+
+class TestGcDiscipline:
+    """A sweep pauses automatic GC and reclaims what its items allocated
+    with young-generation collections only."""
+
+    @pytest.fixture(autouse=True)
+    def _explicit_collections_only(self):
+        # Threshold 0 keeps the collector enabled but never triggers it
+        # automatically, so only the sweep's own collections can free
+        # the items' cycles.
+        thresholds = gc.get_threshold()
+        gc.set_threshold(0)
+        _CYCLES.clear()
+        yield
+        _CYCLES.clear()
+        gc.set_threshold(*thresholds)
+
+    @pytest.fixture
+    def collections(self, monkeypatch):
+        """The generation of every ``gc.collect`` call, in order."""
+        generations = []
+        collect = gc.collect
+
+        def spy(generation=2):
+            generations.append(generation)
+            return collect(generation)
+
+        monkeypatch.setattr(gc, "collect", spy)
+        return generations
+
+    @pytest.mark.parametrize("n_items", [5, 2 * _GC_EVERY + 5])
+    def test_item_cycles_do_not_survive_the_sweep(self, n_items):
+        assert gc.isenabled()
+        assert sweep_map(_make_cycle, range(n_items), jobs=1) == [False] * n_items
+        assert len(_CYCLES) == n_items
+        assert [ref for ref in _CYCLES if ref() is not None] == []
+
+    def test_serial_collections_are_young_generation(self, collections):
+        sweep_map(_make_cycle, range(2 * _GC_EVERY + 5), jobs=1)
+        # two periodic collections plus the one on exit
+        assert len(collections) == 3
+        assert all(generation < 2 for generation in collections)
+
+    def test_stripe_collections_are_young_and_reclaim_cycles(self, collections):
+        inbox = _Inbox()
+        n_items = 2 * _GC_EVERY + 5
+        _stripe_main(inbox, _make_cycle, list(range(n_items)))
+        assert inbox.messages[-1] == ("done", None)
+        assert [m[2] for m in inbox.messages[:-1]] == [False] * n_items
+        assert len(collections) == 3
+        assert all(generation < 2 for generation in collections)
+        assert [ref for ref in _CYCLES if ref() is not None] == []
+
+    def test_enabled_gc_is_restored_also_when_an_item_raises(self):
+        assert gc.isenabled()
+        sweep_map(_square, range(3), jobs=1)
+        assert gc.isenabled()
+        with pytest.raises(ValueError):
+            sweep_map(_boom, range(6), jobs=1)
+        assert gc.isenabled()
+
+    def test_caller_disabled_gc_stays_disabled(self):
+        gc.disable()
+        try:
+            assert sweep_map(_make_cycle, range(3), jobs=1) == [False] * 3
+            assert not gc.isenabled()
+            with pytest.raises(ValueError):
+                sweep_map(_boom, range(6), jobs=1)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestWorkerDeath:

@@ -67,7 +67,7 @@ def _drive_faulted(run: RunSpec):
         * max(plan.k for plan in scenario.plans)
         * 4
     )
-    horizon = _makespan_only(scenario, run, budget, keep_network=True)
+    horizon, _ = _makespan_only(scenario, run, budget, keep_network=True)
     runtime = HetPipeRuntime.from_spec(
         run,
         cluster=scenario.cluster,

@@ -120,6 +120,38 @@ class TestSharedNetworkScenarios:
         assert all(r.makespan >= r.dedicated_makespan for r in report.results)
 
 
+class TestTwinEventAccounting:
+    """Twin runtimes report their events in ``events_twin``; each twin
+    replays a run the suite can drive directly, so its count is exact."""
+
+    def test_dedicated_full_run_has_no_twin(self):
+        result = run_scenario(generate_scenario(1).spec)
+        assert result.events_twin == 0
+        assert result.events_simulated > result.events
+
+    def test_shared_run_counts_its_dedicated_twin(self):
+        spec = generate_scenario(1).spec
+        dedicated = run_scenario(spec)
+        shared = run_scenario(dataclasses.replace(spec, network_model="shared"))
+        assert shared.events_twin == dedicated.events > 0
+        assert shared.dedicated_makespan == dedicated.makespan
+
+    def test_fast_forward_counts_its_equivalence_twin(self):
+        spec = generate_scenario(4).spec
+        result = run_scenario(spec, fidelity="fast_forward")
+        assert result.equivalence_checked
+        assert result.events_twin == run_scenario(spec).events > 0
+
+    def test_faulted_run_counts_its_horizon_twin(self):
+        faulted = run_fuzz([0], faults=True).results[0]
+        assert faulted.ok, faulted.violations
+        assert faulted.events_twin == run_fuzz([0]).results[0].events > 0
+
+    def test_report_totals_twin_events(self):
+        report = run_fuzz(range(3), network_model="shared")
+        assert report.events_twin == sum(r.events_twin for r in report.results) > 0
+
+
 class TestFuzzBatch:
     def test_smoke_batch_is_clean(self):
         report = run_fuzz(range(25))
