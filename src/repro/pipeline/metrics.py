@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api.spec import FidelitySpec, fidelity_mode
 from repro.cluster.topology import InterconnectSpec
 from repro.errors import SimulationError
 from repro.partition.spec import PartitionPlan
@@ -50,26 +51,22 @@ def measure_pipeline(
     batch_size: int,
     warmup_minibatches: int | None = None,
     measured_minibatches: int = 60,
-    fidelity="full",
+    fidelity: FidelitySpec = FidelitySpec(),
 ) -> PipelineMetrics:
     """Measure one virtual worker in isolation.
 
     ``warmup_minibatches`` defaults to ``4 * Nm + 2 * k`` which is ample
     for the pipe to reach steady state.
 
-    ``fidelity`` is canonically a :class:`repro.api.spec.FidelitySpec`;
-    a bare ``"fast_forward"`` string still works as a deprecation shim
-    (bit-identical behavior, plus a :class:`DeprecationWarning`).
-    Fast-forward coalesces confirmed steady-state cycles between the
-    window boundaries (which are always simulated, so the busy-time
-    samples taken there are real); results match the full run within
-    the 1e-9 semantic-equivalence contract.
+    ``fidelity`` is a :class:`repro.api.spec.FidelitySpec` (only its
+    ``fidelity`` field applies here).  Fast-forward coalesces confirmed
+    steady-state cycles between the window boundaries (which are always
+    simulated, so the busy-time samples taken there are real); results
+    match the full run within the 1e-9 semantic-equivalence contract.
     """
-    from repro.api.spec import fidelity_mode
-    from repro.sim.fastforward import run_pipeline_fast_forward, validate_fidelity
+    from repro.sim.fastforward import run_pipeline_fast_forward
 
     fidelity = fidelity_mode(fidelity, "measure_pipeline")
-    validate_fidelity(fidelity)
     if warmup_minibatches is None:
         warmup_minibatches = 4 * plan.nm + 2 * plan.k
     total = warmup_minibatches + measured_minibatches

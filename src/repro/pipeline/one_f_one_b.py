@@ -21,18 +21,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.api.spec import FidelitySpec, fidelity_mode
 from repro.cluster.topology import InterconnectSpec
 from repro.errors import SimulationError
 from repro.netsim.fabric import Fabric, FabricEdge
 from repro.partition.spec import PartitionPlan
-from repro.pipeline.virtual_worker import build_stage_edge
+from repro.pipeline.virtual_worker import build_stage_edge, shift_public_ids
 from repro.sim.engine import Simulator
+from repro.sim.fastforward import FastForwardState
 from repro.sim.resources import Channel, Processor
 from repro.sim.trace import Trace
 
 
 @dataclass
 class _Stage1F1B:
+    FAST_FORWARD = FastForwardState(
+        watermarks=("next_fwd", "next_bwd"),
+        levels=("dispatching",),
+        relative=(("fwd_queue", "next_fwd"), ("bwd_queue", "next_bwd")),
+        parts=("processor", "to_next", "to_prev"),
+    )
+
     processor: Processor
     to_next: "Channel | FabricEdge | None"
     to_prev: "Channel | FabricEdge | None"
@@ -52,6 +61,15 @@ class OneFOneBPipeline:
     minibatches in flight, as HetPipe does, so the comparison isolates
     the *dispatch discipline*.
     """
+
+    FAST_FORWARD = FastForwardState(
+        counters=("completed",),
+        watermarks=("next_minibatch",),
+        id_offset="mb_offset",
+        levels=("active",),
+        parts=("stages",),
+        coupled=(shift_public_ids,),
+    )
 
     def __init__(
         self,
@@ -190,45 +208,6 @@ class OneFOneBPipeline:
             self._admit()
         self._dispatch(s)
 
-    # ------------------------------------------------------------------
-    # steady-state fast-forward (see repro.sim.fastforward)
-    # ------------------------------------------------------------------
-
-    def ff_counters(self) -> tuple:
-        """Cumulative counters whose per-cycle deltas define steady state.
-
-        Watermarks report in public numbering (raw + ``mb_offset``) so
-        post-skip boundaries match the detector's rebased history — see
-        VirtualWorkerPipeline.ff_counters.
-        """
-        offset = self.mb_offset
-        values = [self.completed, self.next_minibatch + offset]
-        for state in self.stages:
-            values.append(state.next_fwd + offset)
-            values.append(state.next_bwd + offset)
-        return tuple(values)
-
-    def ff_levels(self, now: float) -> tuple:
-        """Structural state that must repeat exactly across cycles."""
-        levels: list = [self.active]
-        for state in self.stages:
-            levels.append(
-                (
-                    state.dispatching,
-                    tuple(p - state.next_fwd for p in state.fwd_queue),
-                    tuple(p - state.next_bwd for p in state.bwd_queue),
-                )
-            )
-        return tuple(levels)
-
-    def ff_advance(self, cycles: int, deltas: tuple, dt: float) -> None:
-        """Account ``cycles`` coalesced cycles: completions and the public
-        id translation advance; raw scheduling state stays untouched."""
-        advanced = cycles * deltas[0]
-        self.completed += advanced
-        self.mb_offset += advanced
-        self.minibatches_fast_forwarded += advanced
-
 
 def measure_1f1b_pipeline(
     plan: PartitionPlan,
@@ -236,23 +215,21 @@ def measure_1f1b_pipeline(
     batch_size: int,
     warmup_minibatches: int | None = None,
     measured_minibatches: int = 60,
-    fidelity="full",
+    fidelity: FidelitySpec = FidelitySpec(),
 ) -> float:
     """Throughput (images/s) of ``plan`` under 1F1B dispatch.
 
-    ``fidelity`` is canonically a :class:`repro.api.spec.FidelitySpec`;
-    a bare ``"fast_forward"`` string still works as a deprecation shim.
-    Fast-forward coalesces confirmed steady-state cycles (the 1F1B
-    pipeline is deterministic, so long measurement windows collapse to
-    warmup + detection + drain); the measured window is identical to
-    the full run within the 1e-9 semantic contract because coalesced
-    completion times are filled from the confirmed cycle.
+    ``fidelity`` is a :class:`repro.api.spec.FidelitySpec` (only its
+    ``fidelity`` field applies here).  Fast-forward coalesces confirmed
+    steady-state cycles (the 1F1B pipeline is deterministic, so long
+    measurement windows collapse to warmup + detection + drain); the
+    measured window is identical to the full run within the 1e-9
+    semantic contract because coalesced completion times are filled
+    from the confirmed cycle.
     """
-    from repro.api.spec import fidelity_mode
-    from repro.sim.fastforward import run_pipeline_fast_forward, validate_fidelity
+    from repro.sim.fastforward import run_pipeline_fast_forward
 
     fidelity = fidelity_mode(fidelity, "measure_1f1b_pipeline")
-    validate_fidelity(fidelity)
     if warmup_minibatches is None:
         warmup_minibatches = 4 * plan.nm + 2 * plan.k
     total = warmup_minibatches + measured_minibatches

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.pipeline.tasks import wave_of
+from repro.sim.fastforward import FastForwardState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pipeline.virtual_worker import VirtualWorkerPipeline
@@ -60,9 +61,9 @@ class GPipeFlushGate:
 class WaveFlushGate:
     """Wave flush against the attached pipeline's completion counter.
 
-    Reads ``pipeline.completed`` (public numbering), which fast-forward
-    advances through the pipeline's own ``ff_advance`` — so the flush
-    condition stays consistent across steady-state skips for free.
+    Reads ``pipeline.completed`` (public numbering), a declared
+    fast-forward counter of the pipeline — so the flush condition stays
+    consistent across steady-state skips for free.
     """
 
     def __init__(self, nm: int) -> None:
@@ -114,8 +115,12 @@ class ComposedGate:
     Forwards the WSP gate's surface — ``pulled_version`` (read *and*
     written: fast-forward bulk-advances it) and ``advance`` — so the
     runtime's pull path and steady-state machinery work unchanged, and
-    relays ``attach`` to conditions that read pipeline state.
+    relays ``attach`` to conditions that read pipeline state.  Its only
+    fast-forward state is the base gate's: the conditions read the
+    pipeline's.
     """
+
+    FAST_FORWARD = FastForwardState(parts=("base",))
 
     def __init__(self, base, extras) -> None:
         self.base = base

@@ -29,6 +29,7 @@ from repro.netsim.fabric import Endpoint, Fabric, FabricEdge
 from repro.partition.spec import PartitionPlan
 from repro.pipeline.tasks import AdmissionGate, OpenGate
 from repro.sim.engine import Simulator
+from repro.sim.fastforward import FastForwardState
 from repro.sim.resources import Channel, Processor
 from repro.sim.trace import Trace
 
@@ -53,9 +54,35 @@ def build_stage_edge(
     return Channel(sim, bandwidth, latency, name)
 
 
+def shift_public_ids(pipeline, cycles: int, deltas: dict) -> None:
+    """Fast-forward coupling for pipelines: the public minibatch numbering
+    (``mb_offset``) jumps by the coalesced completions while raw ids of
+    in-flight work stay put."""
+    advanced = cycles * deltas["completed"]
+    pipeline.mb_offset += advanced
+    pipeline.minibatches_fast_forwarded += advanced
+
+
+def _shift_version_stamps(pipeline, cycles: int, deltas: dict) -> None:
+    """Fast-forward coupling: surviving stamps move with the pulled
+    version, so the relative staleness a cycle repeats is preserved."""
+    versions = cycles * deltas["weight_version"]
+    if versions:
+        stamps = pipeline.version_stamps
+        for raw in stamps:
+            stamps[raw] += versions
+
+
 @dataclass
 class _StageState:
     """Mutable runtime state of one pipeline stage."""
+
+    FAST_FORWARD = FastForwardState(
+        watermarks=("next_fwd", "next_bwd"),
+        levels=("in_flight", "peak_in_flight"),
+        relative=(("fwd_ready", "next_fwd"), ("bwd_ready", "next_bwd")),
+        parts=("processor", "to_next", "to_prev"),
+    )
 
     processor: Processor
     to_next: "Channel | FabricEdge | None"  # activations forward
@@ -70,6 +97,18 @@ class _StageState:
 
 class VirtualWorkerPipeline:
     """Simulates pipelined model parallelism for one virtual worker."""
+
+    #: The pulled version advances a fixed count per cycle (one pull per
+    #: wave) and the distinct-versions peak plateaus: both are counters.
+    FAST_FORWARD = FastForwardState(
+        counters=("completed", "weight_version", "versions_peak"),
+        watermarks=("next_minibatch",),
+        id_offset="mb_offset",
+        levels=("active",),
+        relative=(("version_stamps", "next_minibatch", "weight_version"),),
+        parts=("stages",),
+        coupled=(shift_public_ids, _shift_version_stamps),
+    )
 
     def __init__(
         self,
@@ -379,78 +418,6 @@ class VirtualWorkerPipeline:
         if self.on_minibatch_done is not None:
             self.on_minibatch_done(pub, self.sim.now)
         self._try_inject()
-
-    # ------------------------------------------------------------------
-    # steady-state fast-forward (see repro.sim.fastforward)
-    # ------------------------------------------------------------------
-
-    def ff_counters(self) -> tuple:
-        """Cumulative counters whose per-cycle deltas define steady state.
-
-        Watermarks are reported in *public* numbering (raw value +
-        ``mb_offset``): a skip leaves the raw scheduling state untouched
-        but jumps the offset, and public values are what advance by
-        exactly one cycle delta per boundary across a skip — which is
-        what lets :meth:`SteadyStateDetector.rebase` keep chained skips
-        confirming instantly.
-        """
-        offset = self.mb_offset
-        values = [self.completed, self.next_minibatch + offset]
-        for state in self.stages:
-            values.append(state.next_fwd + offset)
-            values.append(state.next_bwd + offset)
-        # Stashed-version ledger state: the pulled version advances by a
-        # fixed count per steady-state cycle (one pull per wave) and the
-        # distinct-versions peak plateaus (delta 0), so both are valid
-        # cycle counters; slot 0 must stay `completed` (the runtime's
-        # per-pipeline delta reads depend on it).
-        values.append(self.weight_version)
-        values.append(self.versions_peak)
-        return tuple(values)
-
-    def ff_levels(self, now: float) -> tuple:
-        """Structural state that must repeat exactly across cycles."""
-        levels: list = [self.active]
-        for state in self.stages:
-            levels.append(
-                (
-                    state.in_flight,
-                    state.peak_in_flight,
-                    tuple(sorted(p - state.next_fwd for p in state.fwd_ready)),
-                    tuple(sorted(p - state.next_bwd for p in state.bwd_ready)),
-                )
-            )
-        # Relative shape of the stashed-version ledger: (how far behind
-        # the injection head, how far behind the pulled version) per
-        # in-flight stamp — absolute ids advance every cycle, offsets
-        # must repeat exactly.
-        levels.append(
-            tuple(
-                sorted(
-                    (self.next_minibatch - p, self.weight_version - v)
-                    for p, v in self.version_stamps.items()
-                )
-            )
-        )
-        return tuple(levels)
-
-    def ff_advance(self, cycles: int, deltas: tuple, dt: float) -> None:
-        """Account ``cycles`` coalesced cycles: completions and the public
-        id translation advance; raw scheduling state stays untouched."""
-        advanced = cycles * deltas[0]
-        self.completed += advanced
-        self.mb_offset += advanced
-        self.minibatches_fast_forwarded += advanced
-        # Ledger counters ride the same deltas (their ff_counters slots
-        # sit right after the per-stage watermarks); surviving raw
-        # stamps shift by the skipped versions so relative staleness —
-        # the part of the ledger that repeats — is preserved.
-        versions = cycles * deltas[2 + 2 * len(self.stages)]
-        if versions:
-            self.weight_version += versions
-            for raw in self.version_stamps:
-                self.version_stamps[raw] += versions
-        self.versions_peak += cycles * deltas[3 + 2 * len(self.stages)]
 
     # ------------------------------------------------------------------
     # observability

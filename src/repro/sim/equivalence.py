@@ -3,8 +3,8 @@
 Fast-forward runs no longer replay the full run event for event, so the
 bit-identical-digest check cannot gate them.  What replaces it is this
 contract: a coalesced run must reproduce the *semantics* of the full run
-— makespan, per-stage and per-resource utilization and traffic,
-minibatch/wave/pull counts, and staleness statistics — within
+— makespan, per-stage and per-resource utilization and traffic, PS
+queueing, minibatch/wave/pull counts, and staleness statistics — within
 ``REL_TOL_EQUIVALENCE`` relative error.  Integer-valued quantities must
 match exactly.
 
@@ -47,6 +47,8 @@ def semantic_fingerprint(runtime: "HetPipeRuntime") -> dict[str, Any]:
         "ps.sync_bytes": runtime.ps.sync_bytes_total,
         "ps.sync_bytes_cross_node": runtime.ps.sync_bytes_cross_node,
         "ps.global_version": runtime.ps.global_version,
+        # PS-stream queueing; the stage links below carry their own
+        "ps.queue_delay": runtime.ps_queue_stats()[0],
     }
     for vw, wave in enumerate(runtime.ps.pushed_wave):
         fp[f"ps.pushed_wave.vw{vw}"] = wave

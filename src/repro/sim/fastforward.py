@@ -6,51 +6,56 @@ minibatch rates per virtual worker: after warmup, each worker repeats a
 fixed per-cycle work pattern, so most simulated events are redundant
 copies of one observed cycle.  This module detects that regime and lets
 a client advance ``N`` cycles analytically — one clock translation plus
-bulk counter updates — instead of dispatching ``O(minibatches × stages)``
-heap events.
+bulk state updates — instead of dispatching ``O(minibatches × stages)``
+heap events.  The contract is *semantic equivalence* with the full run
+within 1e-9 relative (the oracle is :mod:`repro.sim.equivalence`).
 
-The contract is *semantic equivalence*, not bit-identical event streams:
-a fast-forwarded run must reproduce makespan, per-stage / per-resource
-utilization, minibatch counts, and staleness statistics of the full run
-within 1e-9 relative error (see :mod:`repro.sim.equivalence` for the
-oracle).  The pieces:
+**Declared state.**  Every stateful class declares, once, a class-level
+``FAST_FORWARD = FastForwardState(...)``: ``counters`` (cumulative; a
+skip adds ``cycles × delta``, list counters elementwise), ``watermarks``
+(raw minibatch ids, reported in public numbering via the nearest
+``id_offset`` holder, never written), ``anchors`` (absolute times or
+``None``, fingerprinted by age with ``None`` as ``-1.0``, shifted by
+``dt``), ``deadlines`` (busy-until times, fingerprinted as the time
+left clamped at 0, shifted by ``dt``), ``levels`` (must repeat exactly),
+``relative`` (id collections compared as offsets from a base
+attribute), ``parts`` (sub-components to walk) and ``coupled`` (the
+updates nothing else expresses, called with the component's per-cycle
+deltas by name).  A :class:`StateTree` holds the components under a
+root; :func:`collect_counters` and :func:`collect_shape` fingerprint a
+boundary, :class:`CycleDeltas` names a confirmed cycle's deltas and
+:func:`advance_components` applies the skip.  A field no declaration
+names is a silent divergence, caught by the equivalence twin and the
+forgotten-declaration tests in ``tests/test_fastforward.py``.
 
-* :class:`SteadyStateDetector` — watches per-cycle deltas at
-  client-defined boundaries (minibatch completions for a standalone
-  pipeline, global-version advances for the WSP runtime).  A cycle is
-  declared only when the *entire* per-cycle signature — counter deltas,
-  structural levels, and the relative fingerprint of the pending event
-  queue — repeats for ``confirm`` consecutive cycles.  Near-periodic
-  streams (task jitter, drifting phases) never repeat exactly and are
-  refused; periods up to ``max_period`` boundaries are recognized so
-  multi-worker interleavings with longer super-cycles still coalesce.
-* :func:`queue_fingerprint` — the pending event queue reduced to
-  ``(callback site, argument count, time - now)`` triples.  Periodic
-  dynamics are *time-translation invariant*: if the queue's relative
-  structure and all state deltas repeat, the future evolves as a shifted
-  copy of the observed cycle, which is exactly what the skip applies.
-* :func:`run_pipeline_fast_forward` — the driver for standalone
-  pipelines (:class:`~repro.pipeline.virtual_worker.VirtualWorkerPipeline`
-  and :class:`~repro.pipeline.one_f_one_b.OneFOneBPipeline`): boundary
-  per minibatch completion, with optional *preserved* completion indices
-  that are always simulated (measurement windows sample state there).
-* :class:`FastForwardSummary` — the macro event handed to invariant
-  oracles and folded into ``hetpipe-trace/2`` digests in place of the
-  coalesced raw records.
+:class:`SteadyStateDetector` declares a cycle only when the *entire*
+per-boundary signature — counter deltas, levels and the relative
+:func:`queue_fingerprint` of pending events, ``(callback site, argument
+count, time - now)`` — repeats for ``confirm`` consecutive cycles, at
+any period up to ``max_period`` boundaries (multi-worker interleavings
+form longer super-cycles).  Periodic dynamics are time-translation
+invariant, so the future is then a shifted copy of the observed cycle;
+near-periodic streams (jitter, drifting phases) never repeat and are
+refused.  :func:`run_pipeline_fast_forward` drives a standalone
+pipeline (a boundary per completion, preserved indices always
+simulated); :class:`FastForwardSummary` is the macro event handed to
+oracles and folded into ``hetpipe-trace/2`` digests.
 
 Float tolerance: cycle deltas are compared at ``rel_tol = 1e-12``.  True
 periodic streams differ only by accumulated rounding (~1e-14 relative),
 while genuinely aperiodic ones (jitter is >= 1e-2) differ by orders of
-magnitude more, so the band between detection tolerance and the 1e-9
-equivalence contract is wide on both sides: a skip of ``N`` cycles can
-introduce at most ``~N * rel_tol`` relative drift, far inside 1e-9 for
-any horizon the harness runs.
+magnitude more, so a skip of ``N`` cycles can introduce at most
+``~N * rel_tol`` relative drift, far inside 1e-9 for any horizon the
+harness runs.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from functools import cached_property
+from operator import is_
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.errors import SimulationError
 
@@ -67,7 +72,7 @@ REL_TOL = 1e-12
 #: Longest super-cycle (in boundaries) the detector recognizes.
 MAX_PERIOD = 4
 
-#: Consecutive identical cycles required before a skip (the issue's K).
+#: Consecutive identical cycles required before a skip (K).
 CONFIRM = 2
 
 
@@ -255,52 +260,223 @@ class SteadyStateDetector:
         ]
 
 
-def pipeline_components(pipeline) -> list:
-    """Fixed component order shared by every pipeline-shaped client."""
-    comps: list = [pipeline]
-    for state in pipeline.stages:
-        comps.append(state.processor)
-        if state.to_next is not None:
-            comps.append(state.to_next)
-        if state.to_prev is not None:
-            comps.append(state.to_prev)
-    return comps
+@dataclass(frozen=True)
+class FastForwardState:
+    """A class's fast-forward state (see the module docstring)."""
+
+    counters: tuple[str, ...] = ()
+    watermarks: tuple[str, ...] = ()
+    id_offset: str | None = None
+    anchors: tuple[str, ...] = ()
+    deadlines: tuple[str, ...] = ()
+    levels: tuple[str, ...] = ()
+    relative: tuple[tuple[str, ...], ...] = ()
+    parts: tuple[str, ...] = ()
+    coupled: tuple[Callable[[Any, int, dict], None], ...] = ()
+
+    @cached_property
+    def _compiled(self) -> "_Compiled":
+        return _Compiled(self)
 
 
-def collect_counters(sim: "Simulator", comps: Iterable) -> tuple:
-    """Flat cumulative-counter vector: slot 0 is the *virtual* event
-    count (dispatched + coalesced) followed by per-component counters.
+def _level(value: Any) -> Any:
+    """A level as an immutable snapshot (history must not alias live state)."""
+    return tuple(value) if type(value) is list or type(value) is deque else value
+
+
+def _age(t: Any, now: float) -> Any:
+    if type(t) is list or type(t) is deque:
+        return tuple([-1.0 if x is None else now - x for x in t])
+    return -1.0 if t is None else now - t
+
+
+def _deadline(t: float, now: float) -> float:
+    return t - now if t > now else 0.0
+
+
+def _relative(collection: Any, base: int, value_base: int = 0) -> tuple:
+    if type(collection) is dict:
+        return tuple(sorted([(k - base, v - value_base) for k, v in collection.items()]))
+    if type(collection) is set:
+        return tuple(sorted([x - base for x in collection]))
+    return tuple([x - base for x in collection])
+
+
+def _shifted(t: Any, dt: float) -> Any:
+    if type(t) is list:
+        return [None if x is None else x + dt for x in t]
+    if type(t) is deque:
+        return deque([x + dt for x in t])
+    return None if t is None else t + dt
+
+
+class _Compiled:
+    """A declaration compiled, once, into ``counters(obj, offset, append,
+    extend)``, ``shape(obj, now)`` and ``parts(obj)``, so a boundary costs
+    one call per component; interpreting the declaration field by field
+    at every boundary costs about twice as much."""
+
+    __slots__ = ("state", "counters", "shape", "parts")
+
+    def __init__(self, state: FastForwardState) -> None:
+        counters = "".join(
+            f"    value = obj.{name}\n"
+            f"    (extend if type(value) is list else append)(value)\n"
+            for name in state.counters
+        )
+        counters += "".join(f"    append(obj.{name} + offset)\n" for name in state.watermarks)
+        shape = [
+            *(f"_level(obj.{name})" for name in state.levels),
+            *(f"_age(obj.{name}, now)" for name in state.anchors),
+            *(f"_deadline(obj.{name}, now)" for name in state.deadlines),
+            *("_relative(obj." + ", obj.".join(names) + ")" for names in state.relative),
+        ]
+        namespace = {"_level": _level, "_age": _age, "_deadline": _deadline, "_relative": _relative}
+        exec(
+            f"def counters(obj, offset, append, extend):\n    pass\n{counters}"
+            f"def shape(obj, now):\n    return ({''.join(t + ', ' for t in shape)})\n"
+            f"def parts(obj):\n    return ({''.join(f'obj.{n}, ' for n in state.parts)})\n",
+            namespace,
+        )
+        self.state = state
+        self.counters, self.shape = namespace["counters"], namespace["shape"]
+        self.parts = namespace["parts"] if state.parts else None
+
+
+def _children(parts: tuple) -> list:
+    """The components in a ``parts`` read: an object (``None`` if absent),
+    or a list or dict of them."""
+    children = []
+    for part in parts:
+        kind = type(part)
+        if kind is list:
+            children += part
+        elif kind is dict:
+            children += part.values()
+        elif part is not None:
+            children.append(part)
+    return children
+
+
+class StateTree:
+    """The declared components under ``root``, each before its parts.
+
+    The walk is checked once per dispatched-event count (parts change
+    only while events run) and redone only when some component's parts
+    changed — a lazily created PS stream, a replaced pipeline.
+    """
+
+    def __init__(self, root: Any) -> None:
+        self.root = root
+        self._walk()
+
+    def _walk(self) -> None:
+        self._checked_at = -1
+        #: ``(component, compiled declaration, (id-offset holder, attr))``
+        self._components: list[tuple[Any, _Compiled, tuple | None]] = []
+        #: ``(component, compiled declaration, its children as walked)``
+        self._holders: list[tuple[Any, _Compiled, list]] = []
+        self._visit(self.root, None)
+
+    def _visit(self, obj: Any, id_offset: tuple | None) -> None:
+        try:
+            compiled = type(obj).FAST_FORWARD._compiled
+        except AttributeError:
+            raise SimulationError(
+                f"{type(obj).__name__} declares no FAST_FORWARD state, so a "
+                f"fast-forward skip cannot account for it"
+            ) from None
+        if compiled.state.id_offset is not None:
+            id_offset = (obj, compiled.state.id_offset)
+        self._components.append((obj, compiled, id_offset))
+        if compiled.parts is not None:
+            children = _children(compiled.parts(obj))
+            self._holders.append((obj, compiled, children))
+            for child in children:
+                self._visit(child, id_offset)
+
+    def components(self, sim: "Simulator") -> list[tuple[Any, _Compiled, tuple | None]]:
+        if sim.events_processed != self._checked_at:
+            for obj, compiled, children in self._holders:
+                current = _children(compiled.parts(obj))
+                if len(current) != len(children) or not all(map(is_, current, children)):
+                    self._walk()
+                    break
+            self._checked_at = sim.events_processed
+        return self._components
+
+
+def collect_counters(sim: "Simulator", tree: StateTree) -> tuple:
+    """Flat cumulative-counter vector of the tree's declared state: slot 0
+    is the *virtual* event count (dispatched + coalesced), then every
+    component's counters and public watermarks.
 
     The virtual count — unlike ``events_processed`` alone — advances by
     exactly one cycle's worth per boundary even across a skip, so
     :meth:`SteadyStateDetector.rebase` keeps history consistent and
-    chained skips confirm instantly instead of corrupting slot 0.
+    chained skips confirm instantly.
     """
     values: list = [sim.events_processed + sim.events_fast_forwarded]
-    for comp in comps:
-        values.extend(comp.ff_counters())
+    append, extend = values.append, values.extend
+    for obj, compiled, id_offset in tree.components(sim):
+        compiled.counters(obj, 0 if id_offset is None else getattr(*id_offset), append, extend)
     return tuple(values)
 
 
-def collect_shape(sim: "Simulator", comps: Iterable) -> tuple:
+def collect_shape(sim: "Simulator", tree: StateTree) -> tuple:
     """Structural signature: per-component levels + queue fingerprint."""
     now = sim.now
-    levels = tuple(comp.ff_levels(now) for comp in comps)
-    return (levels, queue_fingerprint(sim))
+    shape = tuple([compiled.shape(obj, now) for obj, compiled, _ in tree.components(sim)])
+    return (shape, queue_fingerprint(sim))
+
+
+class CycleDeltas:
+    """A confirmed cycle's per-cycle deltas by component and counter name
+    (``of(component)["completed"]``), laid out as :func:`collect_counters`."""
+
+    def __init__(self, sim: "Simulator", tree: StateTree, deltas: tuple) -> None:
+        #: per-cycle virtual events (dispatched + coalesced)
+        self.events = deltas[0]
+        self._named: dict[int, dict[str, Any]] = {}
+        pos = 1
+        for obj, compiled, _ in tree.components(sim):
+            named = self._named[id(obj)] = {}
+            for name in compiled.state.counters:
+                value = getattr(obj, name)
+                if type(value) is list:
+                    named[name] = tuple(deltas[pos : pos + len(value)])
+                    pos += len(value)
+                else:
+                    named[name] = deltas[pos]
+                    pos += 1
+            pos += len(compiled.state.watermarks)
+
+    def of(self, component: Any) -> dict[str, Any]:
+        return self._named[id(component)]
 
 
 def advance_components(
-    comps: Sequence, sizes: Sequence[int], cycles: int, deltas: Sequence, dt: float
+    sim: "Simulator", tree: StateTree, cycles: int, deltas: CycleDeltas, dt: float
 ) -> None:
-    """Distribute the flat delta vector back onto the components.
-
-    ``deltas`` excludes the leading events-processed slot (the caller
-    owns the simulator); ``sizes`` is each component's counter width.
-    """
-    offset = 0
-    for comp, size in zip(comps, sizes):
-        comp.ff_advance(cycles, deltas[offset : offset + size], dt)
-        offset += size
+    """Apply a skip of ``cycles`` confirmed cycles (``dt`` seconds) to the
+    simulator and to every component of ``tree``."""
+    sim.fast_forward(dt, events_coalesced=cycles * deltas.events)
+    for obj, compiled, _ in tree.components(sim):
+        state = compiled.state
+        named = deltas.of(obj)
+        for name, delta in named.items():
+            value = getattr(obj, name)
+            if type(value) is list:
+                for i, d in enumerate(delta):
+                    value[i] += cycles * d
+            else:
+                setattr(obj, name, value + cycles * delta)
+        for name in state.anchors:
+            setattr(obj, name, _shifted(getattr(obj, name), dt))
+        for name in state.deadlines:
+            setattr(obj, name, getattr(obj, name) + dt)
+        for update in state.coupled:
+            update(obj, cycles, named)
 
 
 def run_pipeline_fast_forward(
@@ -331,8 +507,7 @@ def run_pipeline_fast_forward(
         sim.run_until_idle(**({"max_events": max_events} if max_events else {}))
         return 0
     det = detector if detector is not None else SteadyStateDetector()
-    comps = pipeline_components(pipeline)
-    sizes = [len(comp.ff_counters()) for comp in comps]
+    tree = StateTree(pipeline)
     boundaries = sorted(b for b in set(preserve) if b > 0)
     skipped = 0
     executed = 0
@@ -346,8 +521,7 @@ def run_pipeline_fast_forward(
         if pipeline.completed == last_completed:
             continue
         last_completed = pipeline.completed
-        counters = collect_counters(sim, comps)
-        cycle = det.observe(sim.now, counters, collect_shape(sim, comps))
+        cycle = det.observe(sim.now, collect_counters(sim, tree), collect_shape(sim, tree))
         if cycle is None:
             continue
         m = cycle.period
@@ -364,7 +538,7 @@ def run_pipeline_fast_forward(
         if cycles <= 0:
             continue
         dt = cycles * cycle.dt
-        events_delta = cycle.deltas[0]
+        deltas = CycleDeltas(sim, tree, cycle.deltas)
         # Fill the coalesced completion times before counters move: each
         # boundary is one completion, at the confirmed per-boundary dts.
         done = pipeline.done_times
@@ -377,8 +551,7 @@ def run_pipeline_fast_forward(
                 offset += boundary_dt
                 index += 1
                 done[index] = base + offset
-        sim.fast_forward(dt, events_coalesced=cycles * events_delta)
-        advance_components(comps, sizes, cycles, cycle.deltas[1:], dt)
+        advance_components(sim, tree, cycles, deltas, dt)
         minibatches = cycles * m
         skipped += minibatches
         pipeline.trace.emit(
@@ -389,7 +562,7 @@ def run_pipeline_fast_forward(
             period=m,
             dt=dt,
             minibatches=minibatches,
-            events=cycles * events_delta,
+            events=cycles * deltas.events,
         )
         det.rebase(dt, tuple(cycles * d for d in cycle.deltas))
         last_completed = pipeline.completed

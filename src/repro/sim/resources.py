@@ -14,6 +14,7 @@ from typing import Any, Callable
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
+from repro.sim.fastforward import FastForwardState
 
 Callback = Callable[[], None]
 
@@ -34,6 +35,12 @@ class Processor:
     them.  ``busy_time`` accumulates exact service time, which is what GPU
     utilization is measured from.
     """
+
+    FAST_FORWARD = FastForwardState(
+        counters=("busy_time", "jobs_completed"),
+        anchors=("_busy_since",),
+        levels=("_busy", "queued_durations"),
+    )
 
     def __init__(self, sim: Simulator, name: str = "proc") -> None:
         self.sim = sim
@@ -62,6 +69,11 @@ class Processor:
     @property
     def queue_depth(self) -> int:
         return len(self._queue)
+
+    @property
+    def queued_durations(self) -> tuple[float, ...]:
+        """Service times of the waiting jobs, in queue order."""
+        return tuple(job.duration for job in self._queue)
 
     def submit(
         self,
@@ -196,30 +208,6 @@ class Processor:
             busy += self.sim.now - self._busy_since
         return min(1.0, busy / window)
 
-    # ------------------------------------------------------------------
-    # steady-state fast-forward (see repro.sim.fastforward)
-    # ------------------------------------------------------------------
-
-    def ff_counters(self) -> tuple:
-        """Cumulative counters whose per-cycle deltas define steady state."""
-        return (self.busy_time, self.jobs_completed)
-
-    def ff_levels(self, now: float) -> tuple:
-        """Structural state that must repeat exactly across cycles."""
-        return (
-            len(self._queue),
-            self._busy,
-            now - self._busy_since if self._busy_since is not None else -1.0,
-            tuple(job.duration for job in self._queue),
-        )
-
-    def ff_advance(self, cycles: int, deltas: tuple, dt: float) -> None:
-        """Apply ``cycles`` confirmed cycles' accounting and shift anchors."""
-        self.busy_time += cycles * deltas[0]
-        self.jobs_completed += cycles * deltas[1]
-        if self._busy_since is not None:
-            self._busy_since += dt
-
 
 class Channel:
     """A FIFO link with latency and bandwidth.
@@ -231,6 +219,13 @@ class Channel:
     NICs).  ``bytes_moved`` feeds the cross-node traffic accounting used
     to check the paper's 103 MB vs 515 MB claim.
     """
+
+    FAST_FORWARD = FastForwardState(
+        counters=("bytes_moved", "transfers_completed", "busy_time", "queue_delay_total"),
+        anchors=("_pending_starts",),
+        deadlines=("_free_at",),
+        levels=("max_queue_depth",),
+    )
 
     def __init__(
         self,
@@ -307,34 +302,3 @@ class Channel:
         if window <= 0:
             return 0.0
         return min(1.0, self.busy_time / window)
-
-    # ------------------------------------------------------------------
-    # steady-state fast-forward (see repro.sim.fastforward)
-    # ------------------------------------------------------------------
-
-    def ff_counters(self) -> tuple:
-        """Cumulative counters whose per-cycle deltas define steady state."""
-        return (
-            self.bytes_moved,
-            self.transfers_completed,
-            self.busy_time,
-            self.queue_delay_total,
-        )
-
-    def ff_levels(self, now: float) -> tuple:
-        """Structural state that must repeat exactly across cycles."""
-        return (
-            max(self._free_at - now, 0.0),
-            self.max_queue_depth,
-            tuple(start - now for start in self._pending_starts),
-        )
-
-    def ff_advance(self, cycles: int, deltas: tuple, dt: float) -> None:
-        """Apply ``cycles`` confirmed cycles' accounting and shift anchors."""
-        self.bytes_moved += cycles * deltas[0]
-        self.transfers_completed += cycles * deltas[1]
-        self.busy_time += cycles * deltas[2]
-        self.queue_delay_total += cycles * deltas[3]
-        self._free_at += dt
-        if self._pending_starts:
-            self._pending_starts = deque(start + dt for start in self._pending_starts)

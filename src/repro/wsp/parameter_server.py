@@ -21,6 +21,7 @@ from repro.errors import SimulationError
 from repro.models.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.netsim.fabric import Endpoint, Fabric
 from repro.sim.engine import Simulator
+from repro.sim.fastforward import FastForwardState
 from repro.sim.resources import Channel, Processor
 from repro.wsp.placement import StagePlacement
 
@@ -34,8 +35,38 @@ class _VersionWaiter:
     vw: int | None = None
 
 
+def _retarget_version_waiters(ps: "ParameterServerSim", cycles: int, deltas: dict) -> None:
+    """Fast-forward coupling: a pending version wait is part of the
+    periodic pattern, so it shifts by its worker's coalesced waves."""
+    waves = deltas["pushed_wave"]
+    for waiter in ps._waiters:
+        if waiter.vw is None:
+            raise SimulationError(
+                "fast-forward over an untagged version waiter; "
+                "when_version(..., vw=...) is required under fast_forward"
+            )
+        waiter.desired += cycles * waves[waiter.vw]
+    if any(ps._push_backlog):
+        # Unreachable: a backlog implies a push in flight, which the
+        # runtime refuses to skip over; fail loudly should that change.
+        raise SimulationError(
+            "fast-forward over a non-empty push backlog; skips must "
+            "be refused while any push is in flight"
+        )
+
+
 class ParameterServerSim:
     """Sharded PS: transfers, apply costs, and WSP clock accounting."""
+
+    FAST_FORWARD = FastForwardState(
+        counters=(
+            "pushes_completed", "pulls_completed", "sync_bytes_total",
+            "sync_bytes_cross_node", "pushed_wave", "global_version", "shard_bytes",
+        ),
+        levels=("_push_in_flight", "_backlog_depths", "_waiter_lags"),
+        parts=("_apply", "_shard_apply", "_channels"),
+        coupled=(_retarget_version_waiters,),
+    )
 
     def __init__(
         self,
@@ -466,80 +497,18 @@ class ParameterServerSim:
             return
         self._waiters.append(_VersionWaiter(desired, callback, vw))
 
+    @property
+    def _backlog_depths(self) -> tuple[int, ...]:
+        return tuple(len(backlog) for backlog in self._push_backlog)
+
+    @property
+    def _waiter_lags(self) -> tuple[tuple[int, int], ...]:
+        """Pending waits as ``(vw, versions still to go)``, sorted."""
+        version = self.global_version
+        return tuple(sorted((-1 if w.vw is None else w.vw, w.desired - version) for w in self._waiters))
+
     def _fire_waiters(self) -> None:
         ready = [w for w in self._waiters if self.global_version >= w.desired]
         self._waiters = [w for w in self._waiters if self.global_version < w.desired]
         for waiter in ready:
             waiter.callback()
-
-    # ------------------------------------------------------------------
-    # steady-state fast-forward (see repro.sim.fastforward)
-    # ------------------------------------------------------------------
-
-    def ff_counters(self) -> tuple:
-        """Cumulative counters whose per-cycle deltas define steady state.
-
-        Layout (the runtime driver indexes into it): four traffic/opcount
-        scalars, one ``pushed_wave`` entry per virtual worker, the global
-        version, then (sharded PS only) one cumulative byte counter per
-        shard slot — appended so every existing index keeps its meaning
-        and the unsharded tuple is unchanged.
-        """
-        return (
-            self.pushes_completed,
-            self.pulls_completed,
-            self.sync_bytes_total,
-            self.sync_bytes_cross_node,
-            *self.pushed_wave,
-            self.global_version,
-            *self.shard_bytes,
-        )
-
-    def ff_levels(self, now: float) -> tuple:
-        """Structural state that must repeat exactly across cycles."""
-        return (
-            tuple(self._push_in_flight),
-            tuple(len(backlog) for backlog in self._push_backlog),
-            tuple(
-                sorted(
-                    (-1 if w.vw is None else w.vw, w.desired - self.global_version)
-                    for w in self._waiters
-                )
-            ),
-        )
-
-    def ff_advance(self, cycles: int, deltas: tuple, dt: float) -> None:
-        """Apply ``cycles`` cycles' clock and traffic advancement.
-
-        Pending version waiters and backlogged waves are retargeted by
-        their worker's coalesced wave count — the wait relationship is
-        part of the periodic pattern, so it shifts with it.
-        """
-        self.pushes_completed += cycles * deltas[0]
-        self.pulls_completed += cycles * deltas[1]
-        self.sync_bytes_total += cycles * deltas[2]
-        self.sync_bytes_cross_node += cycles * deltas[3]
-        num = len(self.pushed_wave)
-        wave_deltas = deltas[4 : 4 + num]
-        for vw in range(num):
-            self.pushed_wave[vw] += cycles * wave_deltas[vw]
-        self.global_version += cycles * deltas[4 + num]
-        for slot in range(len(self.shard_bytes)):
-            self.shard_bytes[slot] += cycles * deltas[5 + num + slot]
-        for waiter in self._waiters:
-            if waiter.vw is None:
-                raise SimulationError(
-                    "fast-forward over an untagged version waiter; "
-                    "when_version(..., vw=...) is required under fast_forward"
-                )
-            waiter.desired += cycles * wave_deltas[waiter.vw]
-        if any(self._push_backlog):
-            # Unreachable by construction: a backlog entry implies its
-            # worker's push is in flight, and the runtime driver refuses
-            # to skip while any push is in flight (the in-flight wave is
-            # closure-captured and cannot be retargeted).  Fail loudly
-            # rather than mask a future eligibility bug.
-            raise SimulationError(
-                "fast-forward over a non-empty push backlog; skips must "
-                "be refused while any push is in flight"
-            )

@@ -10,7 +10,6 @@ and cross-node traffic split into pipeline and synchronization bytes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -25,12 +24,14 @@ from repro.pipeline.variants import DEFAULT_VARIANT, build_variant_gate, get_var
 from repro.pipeline.virtual_worker import VirtualWorkerPipeline
 from repro.sim.engine import Simulator
 from repro.sim.fastforward import (
+    CycleDeltas,
+    FastForwardState,
     FastForwardSummary,
+    StateTree,
     SteadyStateDetector,
     advance_components,
     collect_counters,
     collect_shape,
-    pipeline_components,
     validate_fidelity,
 )
 from repro.sim.trace import Trace
@@ -45,6 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a cycle (invariants -> wsp)
 
 class _WSPGate:
     """Admission gate enforcing the global staleness bound for one VW."""
+
+    FAST_FORWARD = FastForwardState(counters=("pulled_version",))
 
     def __init__(self, d: int, nm: int) -> None:
         self.d = d
@@ -69,6 +72,10 @@ class _WSPGate:
 class VirtualWorkerStats:
     """Per-virtual-worker accounting over a run."""
 
+    FAST_FORWARD = FastForwardState(
+        counters=("minibatches_done", "waves_pushed", "pulls", "waiting_time", "idle_in_wait"),
+    )
+
     minibatches_done: int = 0
     waves_pushed: int = 0
     waiting_time: float = 0.0  # push-complete -> pull-complete
@@ -79,6 +86,14 @@ class VirtualWorkerStats:
 
 class HetPipeRuntime:
     """N virtual workers running WSP data parallelism."""
+
+    #: The fast-forward root: per-VW busy counts and the idle/wait anchors
+    #: the waiting-time accounting reads, plus every stateful part.
+    FAST_FORWARD = FastForwardState(
+        anchors=("_all_idle_since", "_wait_started"),
+        levels=("_busy_count",),
+        parts=("pipelines", "gates", "stats", "ps"),
+    )
 
     def __init__(
         self,
@@ -100,20 +115,8 @@ class HetPipeRuntime:
         obs=None,
         planner: str = "dp",
         variant: str = DEFAULT_VARIANT,
-        _spec_constructed: bool = False,
     ) -> None:
         validate_fidelity(fidelity)
-        if fidelity != "full" and not _spec_constructed:
-            # Spec-addressable axes belong in a RunSpec; the direct
-            # kwarg stays as a shim (bit-identical — proven by
-            # tests/test_api_run.py's digest-equality test).
-            warnings.warn(
-                "passing fidelity= directly to HetPipeRuntime is "
-                "deprecated; describe the run with a repro.api.RunSpec "
-                "and construct via HetPipeRuntime.from_spec",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if not plans:
             raise ConfigurationError("need at least one virtual worker plan")
         nms = {plan.nm for plan in plans}
@@ -324,7 +327,6 @@ class HetPipeRuntime:
             obs=obs,
             planner=run.pipeline.planner,
             variant=run.pipeline.variant,
-            _spec_constructed=True,
         )
 
     # ------------------------------------------------------------------
@@ -636,77 +638,24 @@ class HetPipeRuntime:
 class _RuntimeFastForward:
     """Steady-state macro-event coalescing for one :class:`HetPipeRuntime`.
 
-    Cycle boundaries are global-version advances: in steady state the
-    whole coupled system — every virtual worker's pipeline, the
-    parameter-server shards, gates, and the pending event queue — repeats
-    a fixed pattern per global wave (or a small super-cycle of waves when
-    heterogeneous workers interleave with a longer period).  The per-
-    boundary signature covers *all* of that state, so cross-VW
-    interactions whose phases do not repeat (e.g., staleness admissions
-    that would diverge) simply never confirm a cycle, and the run falls
-    back to full simulation with no correctness cliff.
+    Cycle boundaries are global-version advances: in steady state every
+    pipeline, the PS shards, the gates and the pending event queue repeat
+    a fixed pattern per global wave (or a short super-cycle of waves).
+    The signature is the runtime's declared state (``FAST_FORWARD`` and
+    every part under it), so cross-VW interactions whose phases do not
+    repeat never confirm a cycle and the run stays at full fidelity.
 
-    On a confirmed cycle the skip is one clock translation plus O(state)
-    bulk updates: simulator queue times shift by ``N * dt``, cumulative
-    counters advance by ``N`` cycle deltas, public minibatch/wave/version
-    numberings jump while raw in-flight event ids stay put (the
-    pipelines' ``mb_offset`` translation), pending version waits are
-    retargeted, live oracles are told via ``on_fast_forward``, and one
-    ``fast_forward`` macro record stands in for the coalesced raw trace.
+    This class keeps only the policy — which confirmed cycles may be
+    skipped (no pending fault, no structural change, no push in flight,
+    whole waves per worker) — and, after the walker's skip, tells the
+    oracles and emits the ``fast_forward`` macro record.
     """
 
     def __init__(self, runtime: HetPipeRuntime) -> None:
         self.runtime = runtime
+        self.tree = StateTree(runtime)
         self.detector = SteadyStateDetector()
         self.skips_applied = 0
-        #: pipelines and their stage resources, in fixed order; the PS's
-        #: lazily-created streams are appended per boundary (a stream
-        #: appearing mid-run changes the vector length, which the
-        #: detector treats as a mismatch — exactly right)
-        self._pipe_comps: list = []
-        #: flat counter-vector offset of each pipeline's own counters
-        #: (slot 0 there is its completed count)
-        self._pipe_offsets: list[int] = []
-        flat = 0
-        for pipeline in runtime.pipelines:
-            self._pipe_offsets.append(flat)
-            for comp in pipeline_components(pipeline):
-                self._pipe_comps.append(comp)
-                flat += len(comp.ff_counters())
-
-    def _components(self) -> list:
-        ps = self.runtime.ps
-        return [
-            *self._pipe_comps,
-            *ps._apply.values(),
-            *ps._shard_apply.values(),
-            *ps._channels.values(),
-            ps,
-        ]
-
-    def _counters(self, comps: list) -> tuple:
-        runtime = self.runtime
-        values = list(collect_counters(runtime.sim, comps))
-        for gate in runtime.gates:
-            values.append(gate.pulled_version)
-        for stats in runtime.stats:
-            values.append(stats.minibatches_done)
-            values.append(stats.waves_pushed)
-            values.append(stats.pulls)
-            values.append(stats.waiting_time)
-            values.append(stats.idle_in_wait)
-        return tuple(values)
-
-    def _shape(self, comps: list) -> tuple:
-        runtime = self.runtime
-        now = runtime.sim.now
-        levels, fingerprint = collect_shape(runtime.sim, comps)
-        runtime_levels = (
-            tuple(runtime._busy_count),
-            tuple(-1.0 if t is None else now - t for t in runtime._all_idle_since),
-            tuple(-1.0 if t is None else now - t for t in runtime._wait_started),
-        )
-        return (levels + (runtime_levels,), fingerprint)
 
     def on_boundary(self, target: int) -> None:
         """A global-version advance just executed; detect and maybe skip."""
@@ -714,25 +663,23 @@ class _RuntimeFastForward:
         # Fault injection: a skip would shift armed fault events (or
         # coalesce a live fault window), so bail while any fault is
         # scheduled or active; a structural change (elastic
-        # re-partitioning) stales the component list permanently.
+        # re-partitioning) ends coalescing for the rest of the run.
         if runtime._structural_change:
             return
         injector = runtime.fault_injector
         if injector is not None and injector.pending():
             return
+        sim = runtime.sim
         ps = runtime.ps
-        comps = self._components()
+        tree = self.tree
         cycle = self.detector.observe(
-            runtime.sim.now, self._counters(comps), self._shape(comps)
+            sim.now, collect_counters(sim, tree), collect_shape(sim, tree)
         )
         if cycle is None:
             return
-        sizes = [len(comp.ff_counters()) for comp in comps]
-        total_comp = sum(sizes)
-        num_vw = len(runtime.plans)
-        deltas = cycle.deltas
-        ps_start = 1 + total_comp - sizes[-1]
-        versions_per_cycle = deltas[ps_start + 4 + num_vw]
+        deltas = CycleDeltas(sim, tree, cycle.deltas)
+        ps_deltas = deltas.of(ps)
+        versions_per_cycle = ps_deltas["global_version"]
         if versions_per_cycle <= 0:
             return
         cycles = (target - ps.global_version) // versions_per_cycle
@@ -748,9 +695,9 @@ class _RuntimeFastForward:
         # minibatches must be exactly Nm times its coalesced waves, or
         # the push phase would drift across the skip.
         per_vw_minibatches = tuple(
-            deltas[1 + offset] for offset in self._pipe_offsets
+            deltas.of(pipeline)["completed"] for pipeline in runtime.pipelines
         )
-        per_vw_waves = tuple(deltas[ps_start + 4 + vw] for vw in range(num_vw))
+        per_vw_waves = ps_deltas["pushed_wave"]
         if any(
             mb != runtime.nm * waves
             for mb, waves in zip(per_vw_minibatches, per_vw_waves)
@@ -758,32 +705,14 @@ class _RuntimeFastForward:
             return
 
         dt = cycles * cycle.dt
-        runtime.sim.fast_forward(dt, events_coalesced=cycles * deltas[0])
-        advance_components(comps, sizes, cycles, deltas[1 : 1 + total_comp], dt)
-        offset = 1 + total_comp
-        for gate in runtime.gates:
-            gate.pulled_version += cycles * deltas[offset]
-            offset += 1
-        for stats in runtime.stats:
-            stats.minibatches_done += cycles * deltas[offset]
-            stats.waves_pushed += cycles * deltas[offset + 1]
-            stats.pulls += cycles * deltas[offset + 2]
-            stats.waiting_time += cycles * deltas[offset + 3]
-            stats.idle_in_wait += cycles * deltas[offset + 4]
-            offset += 5
-        runtime._all_idle_since = [
-            None if t is None else t + dt for t in runtime._all_idle_since
-        ]
-        runtime._wait_started = [
-            None if t is None else t + dt for t in runtime._wait_started
-        ]
+        advance_components(sim, tree, cycles, deltas, dt)
         self.skips_applied += 1
         summary = FastForwardSummary(
-            time=runtime.sim.now,
+            time=sim.now,
             dt=dt,
             cycles=cycles,
             period=cycle.period,
-            events_coalesced=cycles * deltas[0],
+            events_coalesced=cycles * deltas.events,
             minibatches=tuple(cycles * mb for mb in per_vw_minibatches),
             waves=tuple(cycles * waves for waves in per_vw_waves),
             versions=cycles * versions_per_cycle,
@@ -791,7 +720,7 @@ class _RuntimeFastForward:
         for oracle in runtime.oracles:
             oracle.on_fast_forward(summary)
         runtime.trace.emit(
-            runtime.sim.now,
+            sim.now,
             "fast_forward",
             "runtime",
             cycles=cycles,
@@ -802,4 +731,4 @@ class _RuntimeFastForward:
             versions=summary.versions,
             events=summary.events_coalesced,
         )
-        self.detector.rebase(dt, tuple(cycles * d for d in deltas))
+        self.detector.rebase(dt, tuple(cycles * d for d in cycle.deltas))

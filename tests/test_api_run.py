@@ -1,4 +1,4 @@
-"""Spec-driven execution: registries, builds, run/sweep, CLI, shims.
+"""Spec-driven execution: registries, builds, run/sweep, CLI, fidelity.
 
 Covers the API redesign's behavioral contracts:
 
@@ -6,8 +6,9 @@ Covers the API redesign's behavioral contracts:
   and the CLI maps that (and :class:`SpecError`) to exit code 2;
 * a fuzz scenario run from its lifted ``RunSpec`` is byte-identical —
   digest included — to the legacy ``ScenarioSpec`` path;
-* the deprecated direct-kwarg constructors still work, warn, and
-  produce byte-identical digests to their spec-built equivalents;
+* a runtime constructed with a direct ``fidelity=`` argument produces
+  the digest of its ``from_spec`` equivalent, and the standalone
+  measurements reject a bare fidelity string;
 * ``run_sweep`` returns in-order, ``--jobs``-independent results with
   stable per-point ``spec_hash`` values.
 """
@@ -252,8 +253,8 @@ class TestRunScenario:
             run(spec)
 
 
-class TestDeprecationShims:
-    def test_runtime_direct_fidelity_warns_and_matches_from_spec(self):
+class TestFidelityArguments:
+    def test_runtime_direct_fidelity_matches_from_spec(self, recwarn):
         from repro.sim.trace import Trace
         from repro.wsp.runtime import HetPipeRuntime
 
@@ -267,15 +268,14 @@ class TestDeprecationShims:
             runtime.run_until_global_version(total - 1)
             return runtime
 
-        with pytest.warns(DeprecationWarning, match="from_spec"):
-            legacy_trace = Trace(enabled=False, digest=True, schema=2)
-            legacy = drive(
-                HetPipeRuntime(
-                    scenario.cluster, scenario.model, list(scenario.plans),
-                    d=spec.pipeline.d, trace=legacy_trace,
-                    fidelity="fast_forward",
-                )
+        direct_trace = Trace(enabled=False, digest=True, schema=2)
+        direct = drive(
+            HetPipeRuntime(
+                scenario.cluster, scenario.model, list(scenario.plans),
+                d=spec.pipeline.d, trace=direct_trace,
+                fidelity="fast_forward",
             )
+        )
         spec_trace = Trace(enabled=False, digest=True, schema=2)
         built = drive(
             HetPipeRuntime.from_spec(
@@ -286,76 +286,37 @@ class TestDeprecationShims:
                 trace=spec_trace,
             )
         )
-        assert legacy_trace.digest() == spec_trace.digest()
-        assert legacy.sim.now == built.sim.now
-        assert legacy.total_minibatches_done() == built.total_minibatches_done()
-
-    def test_from_spec_does_not_warn(self, recwarn):
-        from repro.wsp.runtime import HetPipeRuntime
-
-        spec = small_scenario_spec()
-        scenario = build_scenario(spec)
-        HetPipeRuntime.from_spec(
-            replace(spec, fidelity=FidelitySpec(fidelity="fast_forward")),
-            cluster=scenario.cluster,
-            model=scenario.model,
-            plans=list(scenario.plans),
-        )
+        assert direct_trace.digest() == spec_trace.digest()
+        assert direct.sim.now == built.sim.now
+        assert direct.total_minibatches_done() == built.total_minibatches_done()
         assert not [w for w in recwarn if w.category is DeprecationWarning]
 
-    def test_measure_pipeline_string_fidelity_warns_and_matches(self, cluster):
+    def _plan(self, cluster):
         from repro.models import build_vgg19
         from repro.partition import plan_virtual_worker
-        from repro.pipeline import measure_pipeline
 
-        plan = plan_virtual_worker(
+        return plan_virtual_worker(
             build_vgg19(), cluster.gpus[0:4], 2, cluster.interconnect,
             search_orderings=False,
         )
-        with pytest.warns(DeprecationWarning, match="FidelitySpec"):
-            shimmed = measure_pipeline(
-                plan, cluster.interconnect, 32,
+
+    def test_measure_pipeline_string_fidelity_is_rejected(self, cluster):
+        from repro.pipeline import measure_pipeline
+
+        with pytest.raises(SpecError, match="FidelitySpec"):
+            measure_pipeline(
+                self._plan(cluster), cluster.interconnect, 32,
                 measured_minibatches=40, fidelity="fast_forward",
             )
-        spec_built = measure_pipeline(
-            plan, cluster.interconnect, 32,
-            measured_minibatches=40,
-            fidelity=FidelitySpec(fidelity="fast_forward"),
-        )
-        assert shimmed == spec_built
 
-    def test_measure_1f1b_string_fidelity_warns_and_matches(self, cluster):
-        from repro.models import build_vgg19
-        from repro.partition import plan_virtual_worker
+    def test_measure_1f1b_string_fidelity_is_rejected(self, cluster):
         from repro.pipeline import measure_1f1b_pipeline
 
-        plan = plan_virtual_worker(
-            build_vgg19(), cluster.gpus[0:4], 2, cluster.interconnect,
-            search_orderings=False,
-        )
-        with pytest.warns(DeprecationWarning, match="FidelitySpec"):
-            shimmed = measure_1f1b_pipeline(
-                plan, cluster.interconnect, 32,
-                measured_minibatches=40, fidelity="fast_forward",
+        with pytest.raises(SpecError, match="FidelitySpec"):
+            measure_1f1b_pipeline(
+                self._plan(cluster), cluster.interconnect, 32,
+                measured_minibatches=40, fidelity="full",
             )
-        spec_built = measure_1f1b_pipeline(
-            plan, cluster.interconnect, 32,
-            measured_minibatches=40,
-            fidelity=FidelitySpec(fidelity="fast_forward"),
-        )
-        assert shimmed == spec_built
-
-    def test_default_fidelity_string_stays_silent(self, cluster, recwarn):
-        from repro.models import build_vgg19
-        from repro.partition import plan_virtual_worker
-        from repro.pipeline import measure_pipeline
-
-        plan = plan_virtual_worker(
-            build_vgg19(), cluster.gpus[0:4], 1, cluster.interconnect,
-            search_orderings=False,
-        )
-        measure_pipeline(plan, cluster.interconnect, 32, measured_minibatches=20)
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
 
 
 class TestMeasureRun:

@@ -8,6 +8,8 @@ test_equivalence.py — here the units are exercised directly).
 """
 
 import math
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -19,11 +21,18 @@ from repro.pipeline.tasks import CountingGate
 from repro.pipeline.virtual_worker import VirtualWorkerPipeline
 from repro.sim.engine import Simulator
 from repro.sim.fastforward import (
+    CycleDeltas,
+    FastForwardState,
+    StateTree,
     SteadyStateDetector,
+    advance_components,
+    collect_counters,
+    collect_shape,
     queue_fingerprint,
     run_pipeline_fast_forward,
     validate_fidelity,
 )
+from repro.sim.resources import Channel, Processor
 from repro.sim.trace import SEMANTIC_CATEGORIES, Trace
 
 
@@ -361,3 +370,208 @@ class TestPipelineFastForward:
         )
         assert metrics.measured_minibatches == 400
         assert 0.0 < metrics.max_utilization <= 1.0
+
+
+# ----------------------------------------------------------------------
+# the declared-state walker
+# ----------------------------------------------------------------------
+
+
+def _note_coupled(toy, cycles, deltas):
+    toy.coupled_calls.append((cycles, dict(deltas)))
+
+
+class _ToyPart:
+    FAST_FORWARD = FastForwardState(
+        counters=("jobs",), watermarks=("mark",), deadlines=("free_at",)
+    )
+
+    def __init__(self, free_at: float) -> None:
+        self.jobs = 7
+        self.mark = 2
+        self.free_at = free_at
+
+
+class _Toy:
+    FAST_FORWARD = FastForwardState(
+        counters=("busy", "per_slot"),
+        watermarks=("head",),
+        id_offset="offset",
+        anchors=("started", "idle_since", "history"),
+        levels=("depth", "ready"),
+        relative=(("pending", "head"), ("stamps", "head", "version")),
+        parts=("parts", "spare"),
+        coupled=(_note_coupled,),
+    )
+
+    def __init__(self) -> None:
+        self.busy = 1.5
+        self.per_slot = [10, 20]
+        self.head = 5
+        self.offset = 100
+        self.started = 2.0
+        self.idle_since = None
+        self.history = [1.0, None]
+        self.depth = 2
+        self.ready = [9, 7]
+        self.pending = [7, 6]
+        self.stamps = {4: 30, 3: 29}
+        self.version = 31
+        self.parts = [_ToyPart(free_at=3.0), _ToyPart(free_at=6.0)]
+        self.spare = None  # an absent part
+        self.coupled_calls = []
+
+
+def _sim_at(now: float) -> Simulator:
+    sim = Simulator()
+    sim.now = now
+    return sim
+
+
+class TestStateWalker:
+    def test_counters_report_watermarks_in_public_numbering(self):
+        toy = _Toy()
+        counters = collect_counters(_sim_at(4.0), StateTree(toy))
+        # events, the toy's counters (the list flattened) and public
+        # head, then each part's counter and inherited-offset watermark
+        assert counters == (0, 1.5, 10, 20, 105, 7, 102, 7, 102)
+
+    def test_shape_reads_ages_clamped_deadlines_and_relative_ids(self):
+        toy = _Toy()
+        levels, fingerprint = collect_shape(_sim_at(4.0), StateTree(toy))
+        assert fingerprint == ()
+        assert levels[0] == (
+            2,
+            (9, 7),  # a list level is snapshotted in order
+            2.0,  # anchor age: now - started
+            -1.0,  # a None anchor
+            (3.0, -1.0),
+            (2, 1),  # ids relative to head, in sequence order
+            ((-2, -2), (-1, -1)),  # dict keys vs head, values vs version
+        )
+        assert levels[1] == (0.0,)  # a past deadline reads as idle
+        assert levels[2] == (2.0,)
+
+    def test_advance_applies_cycles_times_delta_and_shifts_anchors(self):
+        toy = _Toy()
+        sim = _sim_at(4.0)
+        tree = StateTree(toy)
+        deltas = CycleDeltas(sim, tree, (11, 0.5, 1, 2, 3, 4, 0, 5, 0))
+        assert deltas.events == 11
+        assert deltas.of(toy) == {"busy": 0.5, "per_slot": (1, 2)}
+        assert deltas.of(toy.parts[1]) == {"jobs": 5}
+        advance_components(sim, tree, 3, deltas, dt=2.5)
+        assert sim.now == 6.5
+        assert sim.events_fast_forwarded == 33
+        assert toy.busy == 1.5 + 3 * 0.5
+        assert toy.per_slot == [13, 26]  # elementwise, in place
+        assert toy.started == 4.5
+        assert toy.idle_since is None
+        assert toy.history == [3.5, None]
+        assert [part.jobs for part in toy.parts] == [19, 22]
+        assert [part.free_at for part in toy.parts] == [5.5, 8.5]
+        # watermarks and levels are never written by a skip
+        assert (toy.head, toy.offset, toy.depth) == (5, 100, 2)
+        assert toy.coupled_calls == [(3, {"busy": 0.5, "per_slot": (1, 2)})]
+
+    def test_growing_list_counter_restarts_detection(self):
+        toy = _Toy()
+        sim = _sim_at(0.0)
+        tree = StateTree(toy)
+        detector = SteadyStateDetector()
+
+        def boundary():
+            # one periodic cycle: time, counters and anchors all advance
+            sim.now += 1.0
+            toy.busy += 1.0
+            toy.started += 1.0
+            toy.history[0] += 1.0
+            for part in toy.parts:
+                part.free_at += 1.0
+            return detector.observe(
+                sim.now, collect_counters(sim, tree), collect_shape(sim, tree)
+            )
+
+        assert boundary() is None
+        assert boundary() is None
+        toy.per_slot.append(0)  # e.g. a lazily created PS stream
+        assert boundary() is None  # the third boundary of a cycle, but the
+        assert boundary() is None  # vector grew: history starts over
+        cycle = boundary()
+        assert cycle is not None and cycle.period == 1
+
+    def test_tree_rewalks_when_parts_change(self):
+        toy = _Toy()
+        sim = _sim_at(0.0)
+        tree = StateTree(toy)
+        before = collect_counters(sim, tree)
+        toy.spare = _ToyPart(free_at=1.0)
+        # unchanged until an event runs: parts only change inside events
+        assert collect_counters(sim, tree) == before
+        sim.events_processed += 1
+        assert collect_counters(sim, tree) == (1, *before[1:], 7, 102)
+
+    def test_undeclared_part_is_refused(self):
+        toy = _Toy()
+        toy.parts.append(object())
+        with pytest.raises(SimulationError, match="declares no FAST_FORWARD"):
+            StateTree(toy)
+
+
+# ----------------------------------------------------------------------
+# a forgotten declaration is caught by the equivalence twin
+# ----------------------------------------------------------------------
+
+#: A jitter-free fuzz seed whose main run coalesces (it also coalesces in
+#: the long-horizon benchmark corpus) and whose steady state moves every
+#: observable below — including PS-stream queueing.
+FORGETFUL_SEED = 24
+
+
+def _forgotten_declaration_cases():
+    from repro.wsp.parameter_server import ParameterServerSim
+    from repro.wsp.runtime import VirtualWorkerStats
+
+    cases = [
+        (Processor, "busy_time", r"vw\d+\.s\d+\.busy_time full="),
+        (Channel, "bytes_moved", r"vw\d+\.s\d+\.(act|grad)\.bytes full="),
+        (Channel, "queue_delay_total", r"ps\.queue_delay full="),
+        (ParameterServerSim, "sync_bytes_total", r"ps\.sync_bytes full="),
+        (VirtualWorkerStats, "waiting_time", r"vw\d+\.waiting_time full="),
+    ]
+    return [pytest.param(*case, id=f"{case[0].__name__}.{case[1]}") for case in cases]
+
+
+def _run_forgetful_seed():
+    from repro.scenarios.generator import generate_run_spec
+    from repro.scenarios.runner import run_scenario
+
+    return run_scenario(
+        generate_run_spec(FORGETFUL_SEED),
+        fidelity="fast_forward",
+        verify_equivalence=True,
+    )
+
+
+class TestForgottenDeclaration:
+    @pytest.mark.parametrize("cls, name, observable", _forgotten_declaration_cases())
+    def test_forgotten_counter_is_an_equivalence_violation(
+        self, monkeypatch, cls, name, observable
+    ):
+        state = cls.FAST_FORWARD
+        assert name in state.counters
+        monkeypatch.setattr(
+            cls,
+            "FAST_FORWARD",
+            replace(state, counters=tuple(n for n in state.counters if n != name)),
+        )
+        result = _run_forgetful_seed()
+        assert result.events_fast_forwarded > 0
+        pattern = re.compile("equivalence: " + observable)
+        assert any(pattern.match(v) for v in result.violations), result.violations
+
+    def test_intact_declarations_report_none(self):
+        result = _run_forgetful_seed()
+        assert result.events_fast_forwarded > 0
+        assert result.equivalence_checked
+        assert not result.violations
