@@ -32,12 +32,20 @@ Every resource keeps the accounting the invariant oracles and the
 construction, re-verified by :meth:`Fabric.verify`), bytes charged by
 flows (flow conservation: bytes in == bytes out per resource), queueing
 delay, and peak queue depth.
+
+The flow path is priced like a dedicated ``Channel`` transfer: a
+route is resolved once per endpoint pair (keyed by plain ints) and
+replayed afterwards, each :meth:`SharedLink.occupy` is amortized O(1),
+and the ledger record is a :class:`Flow` tuple.  Callers that send many
+flows between the same endpoints (PS streams, ring edges, pipeline
+edges) build their :class:`Endpoint` pair and tag once and reuse them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from repro.cluster.gpu import GPUDevice
 from repro.cluster.topology import Cluster
@@ -126,6 +134,11 @@ class SharedLink:
     Flows reserve non-overlapping service intervals in submission order;
     ``busy_time`` accumulates exact occupancy, so ``utilization`` can
     never exceed 1 — the oracle re-checks both properties.
+
+    A reservation costs amortized O(1), like
+    :meth:`~repro.sim.resources.Channel.transfer`: the starts still in
+    the future sit in a deque in submission order, and each reservation
+    pops the prefix that has already begun.
     """
 
     def __init__(self, sim: Simulator, bandwidth: float, name: str, kind: str) -> None:
@@ -141,13 +154,23 @@ class SharedLink:
         self.queue_delay_total = 0.0
         self.max_queue_depth = 0
         self._free_at = 0.0
-        self._pending_starts: list[float] = []
+        self._pending_starts: deque[float] = deque()
         if sim.obs is not None:
             sim.obs.register_resource(self)
 
     @property
     def free_at(self) -> float:
         return self._free_at
+
+    @property
+    def queue_depth(self) -> int:
+        """Flows reserved on this resource that have not started yet.
+
+        Counts without pruning, so sampling it leaves the reservation
+        state exactly as the next :meth:`occupy` expects it.
+        """
+        now = self.sim.now
+        return sum(1 for t in self._pending_starts if t > now)
 
     def occupy(self, start: float, duration: float, nbytes: float) -> None:
         """Reserve ``[start, start + duration)`` for one flow.
@@ -158,16 +181,29 @@ class SharedLink:
         oracle treats as an invariant violation, not a plain sim error.
         """
         now = self.sim.now
-        if start < self._free_at - 1e-12:
+        free_at = self._free_at
+        if start < free_at - 1e-12:
             raise InvariantViolation(
                 f"{self.name}: overlapping reservation at t={start} "
-                f"(free at {self._free_at})"
+                f"(free at {free_at})"
             )
-        self.queue_delay_total += max(0.0, min(self._free_at, start) - now)
-        self._pending_starts = [t for t in self._pending_starts if t > now]
+        # max(0.0, min(free_at, start) - now), without the builtin calls
+        wait = (start if start < free_at else free_at) - now
+        if wait > 0.0:
+            self.queue_delay_total += wait
+        # Starts are non-decreasing per link (Fabric.transfer starts each
+        # flow at max(now, free_at over its path) >= this link's free_at
+        # >= its previous start), so the starts that have begun are
+        # exactly a prefix of the deque; popping it is the same as
+        # filtering the whole queue on ``t > now``.  Depth only grows on
+        # an append, so the peak is updated there alone.
+        pending = self._pending_starts
+        while pending and pending[0] <= now:
+            pending.popleft()
         if start > now:
-            self._pending_starts.append(start)
-        self.max_queue_depth = max(self.max_queue_depth, len(self._pending_starts))
+            pending.append(start)
+            if len(pending) > self.max_queue_depth:
+                self.max_queue_depth = len(pending)
         self._free_at = start + duration
         self.busy_time += duration
         self.bytes_moved += nbytes
@@ -186,9 +222,12 @@ class SharedLink:
         return max(0.0, busy / window)
 
 
-@dataclass(frozen=True)
-class Flow:
-    """One completed (or in-flight) transfer's routing record."""
+class Flow(NamedTuple):
+    """One completed (or in-flight) transfer's routing record.
+
+    A plain immutable tuple: the fabric appends one per transfer, so its
+    construction sits on the flow path.
+    """
 
     src: Endpoint
     dst: Endpoint
@@ -272,12 +311,13 @@ class Fabric:
         #: *attribute* waits to resources, for congestion ranking, and
         #: sum to more than this when paths share several hops)
         self.queue_delay_total = 0.0
-        #: (src, dst) -> (path, latency, path names, bottleneck rate):
-        #: the topology is static, so a flow stream's multi-hop path is
-        #: computed once and replayed for every subsequent transfer
-        #: instead of being rebuilt per flow
+        #: (src node, src gpu, dst node, dst gpu) -> (path, latency, path
+        #: names, bottleneck rate): the topology is static, so a flow
+        #: stream's multi-hop path is computed once per endpoint pair and
+        #: replayed for every later transfer.  Plain-int keys hash in C,
+        #: where ``Endpoint`` keys would run a Python-level ``__hash__``.
         self._routes: dict[
-            tuple[Endpoint, Endpoint],
+            tuple[int, int | None, int, int | None],
             tuple[list[SharedLink], float, tuple[str, ...], float],
         ] = {}
 
@@ -311,17 +351,20 @@ class Fabric:
     def _route_entry(
         self, src: Endpoint, dst: Endpoint
     ) -> tuple[list[SharedLink], float, tuple[str, ...], float]:
-        cached = self._routes.get((src, dst))
-        if cached is not None:
-            return cached
-        path, latency = self._compute_route(src, dst)
-        entry = (
-            path,
-            latency,
-            tuple(link.name for link in path),
-            min(link.bandwidth for link in path),
-        )
-        self._routes[(src, dst)] = entry
+        key = (src.node_id, src.gpu_id, dst.node_id, dst.gpu_id)
+        entry = self._routes.get(key)
+        if entry is None:
+            path, latency = self._compute_route(src, dst)
+            entry = (
+                path,
+                latency,
+                tuple(link.name for link in path),
+                min(link.bandwidth for link in path),
+            )
+            if src.gpu_id is None or src != dst:
+                # never cache a same-device pair: transfer() treats it
+                # as a no-op, and only checks that on a cache miss
+                self._routes[key] = entry
         return entry
 
     def _compute_route(self, src: Endpoint, dst: Endpoint) -> tuple[list[SharedLink], float]:
@@ -374,36 +417,35 @@ class Fabric:
             raise SimulationError(f"fabric: negative transfer size {nbytes}")
         if rate_cap is not None and rate_cap <= 0:
             raise SimulationError(f"fabric: rate_cap must be positive, got {rate_cap}")
-        now = self.sim.now
-        if src == dst and src.gpu_id is not None:
-            # same-device "transfer" is a no-op, as in the dedicated
-            # model (InterconnectSpec.transfer_time returns 0.0)
-            if on_complete is not None:
-                self.sim.schedule_at(now, on_complete)
-            return now
-        path, latency, path_names, bottleneck = self._route_entry(src, dst)
+        sim = self.sim
+        now = sim.now
+        entry = self._routes.get((src.node_id, src.gpu_id, dst.node_id, dst.gpu_id))
+        if entry is None:
+            if src.gpu_id is not None and src == dst:
+                # same-device "transfer" is a no-op, as in the dedicated
+                # model (InterconnectSpec.transfer_time returns 0.0)
+                if on_complete is not None:
+                    sim.schedule_at(now, on_complete)
+                return now
+            entry = self._route_entry(src, dst)
+        path, latency, path_names, bottleneck = entry
         if self.rate_scale != 1.0:
             bottleneck *= self.rate_scale
-        if rate_cap is not None:
-            bottleneck = min(bottleneck, rate_cap)
+        if rate_cap is not None and rate_cap < bottleneck:
+            bottleneck = rate_cap
         occupy = nbytes / bottleneck
         start = now
         for link in path:
-            free_at = link.free_at
-            if free_at > start:
-                start = free_at
-        self.queue_delay_total += start - now
+            if link._free_at > start:
+                start = link._free_at
+        wait = start - now
+        self.queue_delay_total += wait
         for link in path:
             link.occupy(start, occupy, nbytes)
         done = start + occupy + latency
-        self.flows.append(
-            Flow(
-                src=src, dst=dst, nbytes=nbytes, start=start, done=done,
-                path=path_names, tag=tag, wait=start - now,
-            )
-        )
+        self.flows.append(Flow(src, dst, nbytes, start, done, path_names, tag, wait))
         if on_complete is not None:
-            self.sim.schedule_at(done, on_complete)
+            sim.schedule_at(done, on_complete)
         return done
 
     def transfer_gpus(

@@ -108,10 +108,11 @@ def simulate_ring_allreduce(
         # model — wider links only help if the stack could use them.
         cap = ring_bandwidth(gpus, calibration)
         for i, gpu in enumerate(gpus):
+            # endpoints resolved once per ring edge, not once per chunk
+            src, dst = Endpoint.gpu(gpu), Endpoint.gpu(gpus[(i + 1) % n])
             edges.append(
-                lambda done, src=gpu, dst=gpus[(i + 1) % n]: fabric.transfer(
-                    Endpoint.gpu(src), Endpoint.gpu(dst), chunk, done,
-                    tag="allreduce", rate_cap=cap,
+                lambda done, src=src, dst=dst: fabric.transfer(
+                    src, dst, chunk, done, tag="allreduce", rate_cap=cap,
                 )
             )
 

@@ -259,6 +259,17 @@ class Channel:
         if sim.obs is not None:
             sim.obs.register_resource(self)
 
+    @property
+    def queue_depth(self) -> int:
+        """Transfers submitted that have not started yet.
+
+        Counts without pruning: ``_pending_starts`` is trimmed only by
+        the next :meth:`transfer`, so its length over-reports once a
+        burst has drained.
+        """
+        now = self.sim.now
+        return sum(1 for t in self._pending_starts if t > now)
+
     def transfer_time(self, nbytes: float) -> float:
         """Unloaded service time for ``nbytes`` (no queueing)."""
         return self.latency + nbytes / self.bandwidth

@@ -114,6 +114,12 @@ class ParameterServerSim:
         # (vw, stage, direction, "k{slot}") sharded; the two shapes never
         # coexist in one PS instance.
         self._channels: dict[tuple[int, int, str, object], Channel] = {}
+        # Shared mode's counterpart: (src endpoint, dst endpoint, flow
+        # tag) per (vw, stage, shard, direction, src node, dst node), so
+        # a send builds neither endpoints nor a tag string.
+        self._fabric_streams: dict[
+            tuple[int, int, int | None, str, int, int], tuple[Endpoint, Endpoint, str]
+        ] = {}
         # Pushes from one worker apply strictly in wave order; when the
         # pipeline races ahead (D > 0) later waves queue here until the
         # previous push is fully recorded.
@@ -210,15 +216,20 @@ class ParameterServerSim:
                 return
             if _attempt > 0:
                 faults.send_resolved()
-        if self.fabric is not None:
-            slot = "" if shard is None else f".k{shard}"
-            self.fabric.transfer(
-                Endpoint.host(src_node),
-                Endpoint.host(dst_node),
-                nbytes,
-                on_complete,
-                tag=f"ps.vw{vw_index}.s{stage}{slot}.{direction}",
-            )
+        fabric = self.fabric
+        if fabric is not None:
+            key = (vw_index, stage, shard, direction, src_node, dst_node)
+            route = self._fabric_streams.get(key)
+            if route is None:
+                slot = "" if shard is None else f".k{shard}"
+                route = (
+                    Endpoint.host(src_node),
+                    Endpoint.host(dst_node),
+                    f"ps.vw{vw_index}.s{stage}{slot}.{direction}",
+                )
+                self._fabric_streams[key] = route
+            src, dst, tag = route
+            fabric.transfer(src, dst, nbytes, on_complete, tag)
             return
         stream = self._stream(vw_index, stage, direction, dst_node != src_node, shard)
         stream.transfer(nbytes, on_complete)

@@ -285,3 +285,53 @@ class TestObsReport:
         assert any(name.startswith("ps.") for name in report.utilization)
         assert any(name.endswith(".gpu0") for name in report.utilization)
         assert all(0.0 <= u <= 1.0 + 1e-9 for u in report.utilization.values())
+
+
+class TestQueueDepthGauge:
+    """The sampler reads pending work as of ``sim.now``.
+
+    ``Channel`` and ``SharedLink`` prune their pending-start queues only
+    on the next transfer, so sampling the raw queue length after a burst
+    drained reported work that had long since started.
+    """
+
+    @staticmethod
+    def _burst():
+        from repro.cluster import paper_cluster
+        from repro.netsim import Endpoint, Fabric
+        from repro.sim.engine import Simulator
+        from repro.sim.resources import Channel
+
+        sim = Simulator()
+        obs = ObsCollector()
+        sim.obs = obs
+        link = Channel(sim, 1.0, name="l")
+        fabric = Fabric(sim, paper_cluster("VR"))
+        for _ in range(3):
+            link.transfer(1.0)
+            fabric.transfer(Endpoint.host(0), Endpoint.host(1), 1e9)
+        return sim, obs
+
+    @staticmethod
+    def _last(obs, name):
+        return obs.series[name][-1][1]
+
+    def test_sample_after_burst_drains_reads_zero(self):
+        sim, obs = self._burst()
+        sim.schedule_at(50.0, lambda: None)
+        sim.run()
+        assert sim.now == 50.0
+        obs.sample(sim)
+        assert self._last(obs, "l.queue") == 0.0
+        assert self._last(obs, "nic.n0.queue") == 0.0
+
+    def test_sample_while_queued_keeps_depth(self):
+        sim, obs = self._burst()
+        obs.sample(sim)
+        assert self._last(obs, "l.queue") == 2.0
+        assert self._last(obs, "nic.n0.queue") == 2.0
+        sim.schedule_at(1.5, lambda: None)
+        sim.run()
+        obs.sample(sim)
+        # the transfers starting at 1.0 have begun; the one at 2.0 waits
+        assert self._last(obs, "l.queue") == 1.0
